@@ -92,7 +92,12 @@ void StoreHandle::Reset() {
   store.reset();
   if (prefix.empty()) return;  // default-constructed or moved-from
   for (size_t i = 0; i < shards; ++i) {
-    std::remove((prefix + ".shard" + std::to_string(i)).c_str());
+    const std::string shard = prefix + ".shard" + std::to_string(i);
+    std::remove(shard.c_str());
+    // Per-shard checkpoint files (hybrid shards write them) and any
+    // half-written temp left beside one.
+    std::remove((shard + ".ckpt").c_str());
+    std::remove((shard + ".ckpt.tmp").c_str());
   }
   std::remove((prefix + ".manifest").c_str());
   prefix.clear();

@@ -107,7 +107,8 @@ struct StoreHandle {
   ~StoreHandle();
 
  private:
-  // Closes the store cleanly and unlinks the shard pools + manifest.
+  // Closes the store cleanly and unlinks the shard pools, their
+  // checkpoint files and the manifest.
   void Reset();
 };
 

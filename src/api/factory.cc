@@ -14,14 +14,13 @@ namespace dash::api {
 
 namespace {
 
-// Maps the shared structural options onto baseline parameters so all four
-// tables start with comparable capacity.
+// Maps the shared structural options onto baseline parameters so every
+// table starts with comparable capacity.
 cceh::CcehOptions ToCcehOptions(const DashOptions& o) {
   cceh::CcehOptions c;
   // Match total segment bytes: Dash 64 x 256 B buckets == CCEH 256 x 64 B.
   c.buckets_per_segment = o.buckets_per_segment * 4;
   c.initial_depth = o.initial_depth;
-  c.batch_pipeline = o.batch_pipeline;
   return c;
 }
 
@@ -34,7 +33,6 @@ level::LevelOptions ToLevelOptions(const DashOptions& o) {
   uint64_t buckets = 16;
   while (buckets * level::kSlotsPerBucket * 3 / 2 < slots) buckets *= 2;
   l.initial_top_buckets = buckets;
-  l.batch_pipeline = o.batch_pipeline;
   return l;
 }
 
@@ -46,7 +44,6 @@ hybrid::HybridOptions ToHybridOptions(const DashOptions& o) {
   h.buckets_per_segment = o.buckets_per_segment;
   h.stash_slots = o.stash_buckets * 8;
   h.initial_depth = o.initial_depth;
-  h.batch_pipeline = o.batch_pipeline;
   h.checkpoint_path = o.checkpoint_path;
   h.rebuild_threads = o.rebuild_threads;
   h.compaction_trigger = o.compaction_trigger;
@@ -59,10 +56,10 @@ hybrid::HybridOptions ToHybridOptions(const DashOptions& o) {
 // prefetch group width so chunking never truncates a pipeline group.
 constexpr size_t kAdapterChunk = 256;
 
-template <typename Table, typename Key, IndexKind Kind, typename Base>
-class IndexAdapter : public Base {
+template <typename Table, typename Key, IndexKind Kind>
+class IndexAdapter : public BasicKvIndex<Key> {
  public:
-  using OpDesc = typename Base::OpDesc;
+  using OpDesc = BasicOp<Key>;
 
   template <typename Options>
   IndexAdapter(pmem::PmPool* pool, epoch::EpochManager* epochs,
@@ -168,10 +165,6 @@ class IndexAdapter : public Base {
                   }) {
       table_.PrefetchBatch(keys, count, for_write);
     }
-  }
-
-  void SetBatchPipeline(BatchPipeline pipeline) override {
-    table_.set_batch_pipeline(pipeline);
   }
 
   bool Verify() override {
@@ -417,31 +410,31 @@ class IndexAdapter : public Base {
   Table table_;
 };
 
-template <typename KP, typename Key, typename Base>
-std::unique_ptr<Base> Make(IndexKind kind, pmem::PmPool* pool,
-                           epoch::EpochManager* epochs,
-                           const DashOptions& options) {
+template <typename KP, typename Key>
+std::unique_ptr<BasicKvIndex<Key>> Make(IndexKind kind, pmem::PmPool* pool,
+                                        epoch::EpochManager* epochs,
+                                        const DashOptions& options) {
   switch (kind) {
     case IndexKind::kDashEH:
       return std::make_unique<
-          IndexAdapter<DashEH<KP>, Key, IndexKind::kDashEH, Base>>(
+          IndexAdapter<DashEH<KP>, Key, IndexKind::kDashEH>>(
           pool, epochs, options);
     case IndexKind::kDashLH:
       return std::make_unique<
-          IndexAdapter<DashLH<KP>, Key, IndexKind::kDashLH, Base>>(
+          IndexAdapter<DashLH<KP>, Key, IndexKind::kDashLH>>(
           pool, epochs, options);
     case IndexKind::kCCEH:
       return std::make_unique<
-          IndexAdapter<cceh::CCEH<KP>, Key, IndexKind::kCCEH, Base>>(
+          IndexAdapter<cceh::CCEH<KP>, Key, IndexKind::kCCEH>>(
           pool, epochs, ToCcehOptions(options));
     case IndexKind::kLevel:
       return std::make_unique<
-          IndexAdapter<level::LevelHashing<KP>, Key, IndexKind::kLevel,
-                       Base>>(pool, epochs, ToLevelOptions(options));
+          IndexAdapter<level::LevelHashing<KP>, Key, IndexKind::kLevel>>(
+          pool, epochs, ToLevelOptions(options));
     case IndexKind::kHybrid:
       return std::make_unique<
-          IndexAdapter<hybrid::HybridTable<KP>, Key, IndexKind::kHybrid,
-                       Base>>(pool, epochs, ToHybridOptions(options));
+          IndexAdapter<hybrid::HybridTable<KP>, Key, IndexKind::kHybrid>>(
+          pool, epochs, ToHybridOptions(options));
   }
   return nullptr;
 }
@@ -479,15 +472,14 @@ bool ParseIndexKind(std::string_view name, IndexKind* kind) {
 std::unique_ptr<KvIndex> CreateKvIndex(IndexKind kind, pmem::PmPool* pool,
                                        epoch::EpochManager* epochs,
                                        const DashOptions& options) {
-  return Make<IntKeyPolicy, uint64_t, KvIndex>(kind, pool, epochs, options);
+  return Make<IntKeyPolicy, uint64_t>(kind, pool, epochs, options);
 }
 
 std::unique_ptr<VarKvIndex> CreateVarKvIndex(IndexKind kind,
                                              pmem::PmPool* pool,
                                              epoch::EpochManager* epochs,
                                              const DashOptions& options) {
-  return Make<VarKeyPolicy, std::string_view, VarKvIndex>(kind, pool, epochs,
-                                                          options);
+  return Make<VarKeyPolicy, std::string_view>(kind, pool, epochs, options);
 }
 
 }  // namespace dash::api

@@ -221,14 +221,19 @@ std::unique_ptr<ShardedStore> ShardedStore::Open(
       reason = "identity tag mismatch (swapped or foreign pool file)";
     }
     if (ok) {
-      report.shard_recovered[i] = shard.pool->recovered_from_crash();
+      const bool recovered = shard.pool->recovered_from_crash();
+      {
+        // vector<bool> packs neighbouring shards into one word.
+        std::lock_guard<std::mutex> lock(mu);
+        report.shard_recovered[i] = recovered;
+      }
       shard.index = CreateKvIndex(options.kind, shard.pool.get(),
                                   shard.epochs.get(),
                                   store->ShardTableOptions(i));
       if (shard.index == nullptr) {
         ok = false;
         reason = "index attach failed";
-      } else if (options.verify_on_open && report.shard_recovered[i] &&
+      } else if (options.verify_on_open && recovered &&
                  !shard.index->Verify()) {
         ok = false;
         reason = "post-recovery structural verify failed";
@@ -989,6 +994,18 @@ ShardedStats ShardedStore::Aggregate(const IndexStats* per_shard,
     out.totals.opt_retries += s.opt_retries;
     out.totals.version_conflicts += s.version_conflicts;
     out.totals.write_locks += s.write_locks;
+    out.totals.bucket_lock_acquisitions += s.bucket_lock_acquisitions;
+    out.totals.bucket_lock_contended_spins += s.bucket_lock_contended_spins;
+    out.totals.recovery_replayed += s.recovery_replayed;
+    out.totals.log_dead_slots += s.log_dead_slots;
+    out.totals.compactions += s.compactions;
+    out.totals.compaction_chunks_reclaimed += s.compaction_chunks_reclaimed;
+    out.totals.compaction_bytes_rewritten += s.compaction_bytes_rewritten;
+    out.totals.log_chunks += s.log_chunks;
+    out.totals.log_chunk_bytes += s.log_chunk_bytes;
+    // The worst lane anywhere: the ratio a compaction trigger weighs.
+    out.totals.compaction_dead_ratio =
+        std::max(out.totals.compaction_dead_ratio, s.compaction_dead_ratio);
     // Conservative: report the smallest page size any shard got (one
     // 4K-backed shard is enough to reintroduce its DTLB misses).
     out.totals.pool_page_bytes =

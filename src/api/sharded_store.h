@@ -143,8 +143,9 @@ struct ShardedStoreOptions {
 };
 
 struct ShardedStats {
-  // records / capacity_slots / bytes_used summed over *healthy* shards;
-  // load_factor recomputed from the sums.
+  // Counters (records, capacity, bytes, lock and log telemetry) summed
+  // over *healthy* shards; load_factor recomputed from the sums,
+  // compaction_dead_ratio the worst shard's.
   IndexStats totals;
   size_t shard_count = 0;
   // Load-factor spread across healthy shards: a wide gap means the

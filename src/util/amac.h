@@ -1,11 +1,11 @@
 // AMAC (Asynchronous Memory Access Chaining) scheduler for the batched
 // operation pipeline.
 //
-// The PR-1 group pipeline overlapped only the *prefetch* stages: hash and
+// A plain staged pipeline overlaps only the *prefetch* stages: hash and
 // prefetch every directory entry, resolve and prefetch every bucket, then
 // execute each operation serially. Misses taken *inside* the execute stage
 // — stash probes, Dash-LH's extra address-resolution walk, Level hashing's
-// bottom-level reprobe, SMO-triggered re-reads — still stalled the core
+// bottom-level reprobe, SMO-triggered re-reads — still stall the core
 // once per operation.
 //
 // This engine instead keeps up to kBatchGroupWidth in-flight per-operation
@@ -23,7 +23,7 @@
 // continuations) rather than through a generic per-step dispatcher:
 // measured on the fixed-schedule common path, per-step dispatch costs
 // ~5 % of the whole operation, which is the difference between beating
-// the PR-1 group pipeline and losing to it. The shared pieces here are
+// a staged pipeline and losing to it. The shared pieces here are
 // the state vocabulary, the ready-list, and the suspend/resume telemetry
 // surfaced by bench_batch.
 //
@@ -32,12 +32,15 @@
 // single-threaded, so the holder would never resume and the waiter would
 // spin forever. All suspend points therefore sit at lock-free program
 // points; lock-protected regions (write ops, pessimistic probes) run to
-// completion within a single pass visit. Since the optimistic-locking
-// conversion of CCEH and Level (versioned snapshot/revalidate searches),
-// every table's *search* path is lock-free end to end, so all four
-// tables suspend at the execute-stage probe; ops whose revalidation
-// fails against a concurrent SMO re-arm their prefetches and resume in
-// the kRetry state instead of stalling cold.
+// completion within a single pass visit — the write ops of every table
+// reduce to a fixed schedule (prefetch stage, then the bodies in index
+// order), counted by AmacTelemetry::CountWriteGroup. Since the
+// optimistic-locking conversion of CCEH and Level (versioned
+// snapshot/revalidate searches), every table's *search* path is
+// lock-free end to end, so every table suspends at the execute-stage
+// probe; ops whose revalidation fails against a concurrent SMO re-arm
+// their prefetches and resume in the kRetry state instead of stalling
+// cold.
 
 #ifndef DASH_PM_UTIL_AMAC_H_
 #define DASH_PM_UTIL_AMAC_H_
@@ -88,6 +91,18 @@ struct AmacTelemetry {
 
   void Suspend(AmacState s) { ++suspends[static_cast<size_t>(s)]; }
 
+  // Counts one group of n ops through a table's fixed-schedule write
+  // scaffold: each op suspends after hashing (directory line in flight)
+  // and after resolving (segment lines in flight), then takes a resolve
+  // step and an execute step.
+  void CountWriteGroup(uint64_t n) {
+    ++groups;
+    ops += n;
+    steps += 2 * n;
+    suspends[static_cast<size_t>(AmacState::kHash)] += n;
+    suspends[static_cast<size_t>(AmacState::kDirProbe)] += n;
+  }
+
   uint64_t TotalSuspends() const {
     uint64_t t = 0;
     for (size_t i = 0; i < kAmacStateCount; ++i) t += suspends[i];
@@ -122,8 +137,8 @@ struct AmacGroupCounters {
 // The set of operations suspended at one state: a state pass drains the
 // previous state's list in submission order (one round-robin lap), and an
 // op that suspends again is pushed onto the next state's list. Keeping
-// submission order end to end is also what lets the write engines keep
-// the batch API's same-type ordering guarantee.
+// submission order end to end is also what keeps the batch API's
+// same-type ordering guarantee.
 struct AmacReadyList {
   size_t idx[kBatchGroupWidth];
   size_t count = 0;

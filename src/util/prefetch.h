@@ -1,7 +1,7 @@
 // Software-prefetch portability shim for the batched operation pipeline.
 //
-// The batch entry points (KvIndex::MultiSearch & friends) stage each group
-// of operations AMAC-style: hash everything, prefetch the directory
+// The batch entry points (BasicKvIndex::MultiSearch & friends) stage each
+// group of operations AMAC-style: hash everything, prefetch the directory
 // entries for the whole group, then the target bucket metadata lines, and
 // only then execute the probes — so one operation's memory stall overlaps
 // the next operation's prefetch. These helpers wrap __builtin_prefetch so
@@ -41,17 +41,22 @@ inline void PrefetchWrite(const void* addr) {
 #endif
 }
 
+// PrefetchWrite for lines a write batch will own, PrefetchRead otherwise.
+inline void Prefetch(const void* addr, bool for_write) {
+  if (for_write) {
+    PrefetchWrite(addr);
+  } else {
+    PrefetchRead(addr);
+  }
+}
+
 // Prefetches every cacheline of [addr, addr + bytes).
 inline void PrefetchRange(const void* addr, size_t bytes, bool for_write = false) {
   const auto start = reinterpret_cast<uintptr_t>(addr);
   const uintptr_t first = start & ~(kPrefetchLineSize - 1);
   const uintptr_t last = (start + bytes - 1) & ~(kPrefetchLineSize - 1);
   for (uintptr_t line = first; line <= last; line += kPrefetchLineSize) {
-    if (for_write) {
-      PrefetchWrite(reinterpret_cast<const void*>(line));
-    } else {
-      PrefetchRead(reinterpret_cast<const void*>(line));
-    }
+    Prefetch(reinterpret_cast<const void*>(line), for_write);
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <map>
@@ -438,6 +439,66 @@ TEST(ShardedStoreTest, InlineModeMatchesModel) {
   for (size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(statuses[i], Status::kInvalidArgument);
   }
+}
+
+// Stats().totals must carry every shard's lock and log telemetry, not
+// only the record counts: after forced compactions on a 2-shard hybrid
+// store, each summed counter equals the sum of the per-shard Stats() and
+// the dead ratio is the worst shard's.
+TEST(ShardedStoreTest, StatsTotalsSumShardTelemetry) {
+  TempShardPaths paths("store_telemetry", 2);
+  ShardedStoreOptions options = SmallStoreOptions(paths.prefix(), 2);
+  options.kind = IndexKind::kHybrid;
+  options.async.workers = false;
+  options.table.compaction_trigger = 0.2;
+  auto store = ShardedStore::Open(options);
+  ASSERT_NE(store, nullptr);
+
+  constexpr uint64_t kKeys = 20000;
+  for (uint64_t k = 1; k <= kKeys; ++k) {
+    ASSERT_EQ(store->Insert(k, k), Status::kOk);
+  }
+  for (uint64_t k = 1; k <= kKeys; ++k) {
+    if (k % 10 != 0) ASSERT_EQ(store->Delete(k), Status::kOk);
+  }
+  for (size_t s = 0; s < 2; ++s) {
+    while (store->shard(s)->Compact()) {
+    }
+  }
+
+  IndexStats sum;
+  for (size_t s = 0; s < 2; ++s) {
+    const IndexStats p = store->shard(s)->Stats();
+    sum.bucket_lock_acquisitions += p.bucket_lock_acquisitions;
+    sum.bucket_lock_contended_spins += p.bucket_lock_contended_spins;
+    sum.recovery_replayed += p.recovery_replayed;
+    sum.log_dead_slots += p.log_dead_slots;
+    sum.compactions += p.compactions;
+    sum.compaction_chunks_reclaimed += p.compaction_chunks_reclaimed;
+    sum.compaction_bytes_rewritten += p.compaction_bytes_rewritten;
+    sum.log_chunks += p.log_chunks;
+    sum.log_chunk_bytes += p.log_chunk_bytes;
+    sum.compaction_dead_ratio =
+        std::max(sum.compaction_dead_ratio, p.compaction_dead_ratio);
+  }
+  ASSERT_GT(sum.compactions, 0u);
+  ASSERT_GT(sum.log_chunks, 0u);
+
+  const IndexStats totals = store->Stats().totals;
+  EXPECT_EQ(totals.bucket_lock_acquisitions, sum.bucket_lock_acquisitions);
+  EXPECT_EQ(totals.bucket_lock_contended_spins,
+            sum.bucket_lock_contended_spins);
+  EXPECT_EQ(totals.recovery_replayed, sum.recovery_replayed);
+  EXPECT_EQ(totals.log_dead_slots, sum.log_dead_slots);
+  EXPECT_EQ(totals.compactions, sum.compactions);
+  EXPECT_EQ(totals.compaction_chunks_reclaimed,
+            sum.compaction_chunks_reclaimed);
+  EXPECT_EQ(totals.compaction_bytes_rewritten,
+            sum.compaction_bytes_rewritten);
+  EXPECT_EQ(totals.log_chunks, sum.log_chunks);
+  EXPECT_EQ(totals.log_chunk_bytes, sum.log_chunk_bytes);
+  EXPECT_EQ(totals.compaction_dead_ratio, sum.compaction_dead_ratio);
+  store->CloseClean();
 }
 
 TEST(ShardedStoreTest, RejectsBadOptions) {
